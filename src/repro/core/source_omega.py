@@ -150,7 +150,17 @@ class SourceOmega(OmegaProtocol):
 
     def _on_alive(self, message: Alive) -> None:
         peer = message.sender
-        if self.adaptive is not None:
+        if self.adaptive is None:
+            if (peer == self._leader
+                    and message.counter <= self.counters.get(peer, 0)
+                    and message.phase <= self.phases.get(peer, 0)):
+                # Steady-state beat from the leader: its priority did not
+                # change and ours can only have worsened, so neither the
+                # adopt nor the reclaim branch below can act — just
+                # refresh the watch timer.
+                self.set_timer(_WATCH, self.timeouts.get(peer))
+                return
+        else:
             self.adaptive.observe_heartbeat(peer, self.now)
             self._lease[peer] = (message.lease
                                  if isinstance(message, BatchedAlive) else 1)

@@ -284,7 +284,15 @@ def default_suite(
 # Per-experiment runners (top-level so they pickle under spawn)
 # ----------------------------------------------------------------------
 
-def _run_e1(algorithm: str, n: int, seed: int) -> tuple[Verdict, dict, Any]:
+_RunnerResult = tuple[Verdict, dict, tuple[Any, ...]]
+"""What a runner returns: its verdict, its ``result`` details, and every
+system (cluster, sharded log) it ran, the measured one first.
+:func:`run_case` times the whole runner, so the case's ``events``,
+``sim_time_s`` and ``profile`` sum over all of them; a report of the
+case renders the first."""
+
+
+def _run_e1(algorithm: str, n: int, seed: int) -> _RunnerResult:
     source = n // 2
     if algorithm == "all-timely":
         scenario = OmegaScenario(algorithm=algorithm, n=n, system="all-et",
@@ -303,11 +311,11 @@ def _run_e1(algorithm: str, n: int, seed: int) -> tuple[Verdict, dict, Any]:
         "stabilization_time_s": outcome.report.stabilization_time,
         "final_leader": outcome.report.final_leader,
     }
-    return outcome.report.verdict(), details, outcome.cluster
+    return outcome.report.verdict(), details, (outcome.cluster,)
 
 
 def _run_e2(algorithm: str, n: int, seed: int,
-            horizon: float) -> tuple[Verdict, dict, Any]:
+            horizon: float) -> _RunnerResult:
     system = "all-et" if algorithm == "all-timely" else "source"
     outcome = OmegaScenario(algorithm=algorithm, n=n, system=system,
                             source=n // 2, seed=seed, horizon=horizon,
@@ -330,11 +338,11 @@ def _run_e2(algorithm: str, n: int, seed: int,
         verdict = verdict.merge(Verdict.failed(
             f"{senders} senders in the final window, expected {expected}",
             senders_final_window=senders))
-    return verdict, details, outcome.cluster
+    return verdict, details, (outcome.cluster,)
 
 
 def _run_e3(algorithm: str, system: str, n: int,
-            seed: int) -> tuple[Verdict, dict, Any]:
+            seed: int) -> _RunnerResult:
     outcome = OmegaScenario(
         algorithm=algorithm, n=n, system=system, source=1,
         targets=(0, 2) if system == "f-source" else (),
@@ -359,10 +367,10 @@ def _run_e3(algorithm: str, system: str, n: int,
         verdict = Verdict.failed(
             f"{active} busy links in the final window, expected {expectation}",
             links_active_final_window=active)
-    return verdict, details, outcome.cluster
+    return verdict, details, (outcome.cluster,)
 
 
-def _run_e4(eta: float, seed: int) -> tuple[Verdict, dict, Any]:
+def _run_e4(eta: float, seed: int) -> _RunnerResult:
     n, crash_at = 6, 60.0
     config = OmegaConfig(eta=eta, initial_timeout=4 * eta, growth_step=eta)
     scenario = OmegaScenario(
@@ -391,7 +399,7 @@ def _run_e4(eta: float, seed: int) -> tuple[Verdict, dict, Any]:
         verdict = Verdict.failed(
             "no re-election after crashing the first leader",
             crashed_leader=first)
-    return verdict, details, cluster
+    return verdict, details, (cluster,)
 
 
 # E17 (docs/DEGRADATION.md): per-packet budgets and adaptive degradation.
@@ -462,7 +470,7 @@ def _e17_scenario(algorithm: str, n: int, seed: int,
 
 
 def _run_e17_budget(algorithm: str, n: int,
-                    seed: int) -> tuple[Verdict, dict, Any]:
+                    seed: int) -> _RunnerResult:
     """One packet-budget row: run observed, report the packet economy."""
     scenario = _e17_scenario(algorithm, n, seed)
     with capture(_PacketTally):
@@ -480,7 +488,7 @@ def _run_e17_budget(algorithm: str, n: int,
     }
     verdict = outcome.report.verdict().merge(Verdict.passed(
         packets_sent=tally.sent, bytes_sent=tally.bytes_sent))
-    return verdict, details, outcome.cluster
+    return verdict, details, (outcome.cluster,)
 
 
 def _e17_degrade_plan(n: int) -> str:
@@ -490,7 +498,7 @@ def _e17_degrade_plan(n: int) -> str:
                                    loss=0.35, delay=0.4)]).to_repro()
 
 
-def _run_e17_adaptive(n: int, seed: int) -> tuple[Verdict, dict, Any]:
+def _run_e17_adaptive(n: int, seed: int) -> _RunnerResult:
     """Adaptive vs static comm-efficient under the same degrade storm.
 
     The claim this row defends (ISSUE 6): with ``adaptive_qos`` on, the
@@ -549,10 +557,10 @@ def _run_e17_adaptive(n: int, seed: int) -> tuple[Verdict, dict, Any]:
             f"{static['good_fraction']:.3f}")
     else:
         verdict = Verdict.passed(packets_saved=saved)
-    return verdict, details, clusters["adaptive"]
+    return verdict, details, (clusters["adaptive"], clusters["static"])
 
 
-def _run_e17(mode: str, **params: Any) -> tuple[Verdict, dict, Any]:
+def _run_e17(mode: str, **params: Any) -> _RunnerResult:
     if mode == "budget":
         return _run_e17_budget(**params)
     if mode == "adaptive":
@@ -566,7 +574,7 @@ n=1024 row stays within a one-minute single-core wall budget (steady
 state costs ~5 wall-seconds per 100 sim-seconds at n=1024)."""
 
 
-def _run_e18(n: int, seed: int) -> tuple[Verdict, dict, Any]:
+def _run_e18(n: int, seed: int) -> _RunnerResult:
     # Large-n census runs the paper's steady-state regime: the source is
     # the priority minimum (pid 0) and the initial timeout clears the
     # worst pre-GST delay (8 > eta + pre_gst_delay_max = 5.5), so no
@@ -601,13 +609,13 @@ def _run_e18(n: int, seed: int) -> tuple[Verdict, dict, Any]:
             f"{outcome.report.omega_holds}, ce="
             f"{outcome.communication_efficient})",
             links_active_final_window=active)
-    return verdict, details, outcome.cluster
+    return verdict, details, (outcome.cluster,)
 
 
 # E19 (docs/LOAD.md): client-fleet load against the replicated log.
 
 def _run_e19_load(mode: str, seed: int,
-                  **spec_kwargs: Any) -> tuple[Verdict, dict, Any]:
+                  **spec_kwargs: Any) -> _RunnerResult:
     """One fleet row: run a LoadSpec, judge per group, require drain."""
     from repro.load import LoadSpec  # local: keep bench importable early
 
@@ -629,11 +637,11 @@ def _run_e19_load(mode: str, seed: int,
             f"{outcome.issued - outcome.committed} of {outcome.issued} "
             f"commands never committed by the horizon",
             committed=outcome.committed))
-    return verdict, details, run.system
+    return verdict, details, (run.system,)
 
 
 def _run_e19_batching(seed: int,
-                      **spec_kwargs: Any) -> tuple[Verdict, dict, Any]:
+                      **spec_kwargs: Any) -> _RunnerResult:
     """Batched+pipelined vs the unbatched control on the same offered load.
 
     The claim this row defends (ISSUE 9): with multi-command slots
@@ -678,10 +686,10 @@ def _run_e19_batching(seed: int,
             throughput_cps=batched.throughput_cps,
             control_throughput_cps=control.throughput_cps,
             speedup=speedup)
-    return verdict, details, systems["batched"]
+    return verdict, details, (systems["batched"], systems["control"])
 
 
-def _run_e19(mode: str, **params: Any) -> tuple[Verdict, dict, Any]:
+def _run_e19(mode: str, **params: Any) -> _RunnerResult:
     if mode == "batching":
         return _run_e19_batching(**params)
     if mode in ("open", "closed", "sharded", "compaction"):
@@ -689,7 +697,7 @@ def _run_e19(mode: str, **params: Any) -> tuple[Verdict, dict, Any]:
     raise ValueError(f"unknown e19 mode {mode!r}")
 
 
-_RUNNERS: dict[str, Callable[..., tuple[Verdict, dict, Any]]] = {
+_RUNNERS: dict[str, Callable[..., _RunnerResult]] = {
     "e1": _run_e1,
     "e2": _run_e2,
     "e3": _run_e3,
@@ -704,13 +712,19 @@ def run_case(case: BenchCase) -> dict:
     """Execute one case and return its result record (see module docstring).
 
     Everything outside the ``timing`` block is deterministic in
-    ``(case.experiment, case.params)``.
+    ``(case.experiment, case.params)``.  ``events``, ``sim_time_s`` and
+    ``profile`` cover every system the runner ran, like ``wall_s``.
     """
     started = time.perf_counter()
-    verdict, details, cluster = _RUNNERS[case.experiment](**case.params)
+    verdict, details, systems = _RUNNERS[case.experiment](**case.params)
     wall = time.perf_counter() - started
-    events = cluster.sim.events_executed
-    sim_time = cluster.sim.now
+    sims = [system.sim for system in systems]
+    events = sum(sim.events_executed for sim in sims)
+    sim_time = sum(sim.now for sim in sims)
+    profile: dict[str, int] = {}
+    for sim in sims:
+        for counter, value in sim.profile().items():
+            profile[counter] = profile.get(counter, 0) + value
     return {
         "case_id": case.case_id,
         "experiment": case.experiment,
@@ -720,7 +734,7 @@ def run_case(case: BenchCase) -> dict:
         "result": details,
         "events": events,
         "sim_time_s": sim_time,
-        "profile": cluster.sim.profile(),
+        "profile": profile,
         "timing": {
             "wall_s": wall,
             "events_per_s": events / wall if wall > 0 else None,

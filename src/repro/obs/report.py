@@ -497,8 +497,9 @@ def bench_case_report(case: Any, wall_s: float | None = None) -> RunReport:
     from repro.harness import bench
 
     with capture(RunRecorder, TimelinessInspector):
-        verdict, details, cluster = bench._RUNNERS[case.experiment](
+        verdict, details, systems = bench._RUNNERS[case.experiment](
             **case.params)
+    cluster = systems[0]  # the measured side of a two-system row
     verdict = verdict.merge(Verdict.passed(**details))
     networks = [("cluster", network) for network in cluster.networks]
     # E19 load rows carry replica-side backpressure counters (batching

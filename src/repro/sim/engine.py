@@ -56,8 +56,12 @@ holds for every time in bucket ``index`` — no epsilon, no edge cases.
 Cancellation tombstones events in O(1) and the engine drops tombstones
 when they surface; a compaction sweep rebuilds the overflow heap when
 tombstones outnumber live events (threshold configurable via
-``compact_threshold``), so a workload that constantly resets timers
-cannot grow the heap without bound.
+``compact_threshold``), so a workload that cancels timers faster than
+they expire cannot grow the heap without bound.  Resetting a process
+timer to a later deadline is not such a workload: it cancels nothing
+(:meth:`repro.sim.process.Process.set_timer` records the new deadline
+and lets the armed event re-arm itself), so the failure detectors'
+per-heartbeat watch resets leave no tombstones.
 
 Typical use::
 

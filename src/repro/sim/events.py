@@ -12,7 +12,10 @@ state they capture are freed right away) and the engine discards the
 tombstone when it reaches the top of the heap, or earlier during a
 compaction sweep (see :meth:`repro.sim.engine.Simulation` internals).
 Nothing is ever removed from the middle of the heap, which keeps every
-heap operation O(log n).
+heap operation O(log n).  Tombstones come from explicit cancels and from
+timer resets to an *earlier* deadline; a reset to a later deadline, the
+common case of a failure detector's watch timer, cancels nothing (see
+:meth:`repro.sim.process.Process.set_timer`).
 
 Under the calendar-queue scheduler, only cancellable events (those with
 an :class:`EventHandle`, from ``call_at``/``call_after``) live on the

@@ -43,9 +43,17 @@ cycle survives the freeze.  Pauses are how the nemesis fault injector
 (:mod:`repro.sim.nemesis`) provokes false suspicions without leaving
 the crash-stop model.
 
-Timers are named by an arbitrary hashable key; setting a timer that
-already exists resets it (the usual "reset timer_p" of the pseudocode in
-this literature).
+Timers are named by an arbitrary hashable key.  Setting a one-shot timer
+that already exists resets it (the usual "reset timer_p" of the
+pseudocode in this literature), and the reset is *lazy*: when the armed
+event fires no later than the new deadline, the reset only records that
+deadline, and the early event re-arms itself once at it instead of
+firing.  A failure detector's watch timer is reset on every heartbeat
+but expires only on a missed one, so this turns a cancel plus a fresh
+event per heartbeat into one extra event per timeout period.  A reset to
+an *earlier* deadline cancels and re-arms as usual.  Either way the
+timer fires exactly once, at the float ``now + delay`` of its last
+reset.
 
 A process does not touch the simulator directly: everything it needs
 from its substrate goes through the two duck-typed surfaces of
@@ -100,6 +108,10 @@ class Process:
         self._paused = False
         self._storage: StableStorage | None = None
         self._timers: dict[Hashable, EventHandle] = {}
+        # One-shot timers only: key -> [armed, deadline], the time the
+        # pending event fires and the time the timer is due (later when
+        # the timer was lazily reset since it was armed).
+        self._due: dict[Hashable, list[float]] = {}
         self._periods: dict[Hashable, float] = {}
         self._held_messages: list[Message] = []
         self._missed_timers: list[Hashable] = []
@@ -175,6 +187,7 @@ class Process:
         for handle in self._timers.values():
             handle.cancel()
         self._timers.clear()
+        self._due.clear()
         self._periods.clear()
         self._held_messages.clear()
         self._missed_timers.clear()
@@ -267,11 +280,22 @@ class Process:
     # ------------------------------------------------------------------
 
     def set_timer(self, key: Hashable, delay: float) -> None:
-        """Arm (or reset) the one-shot timer ``key`` to fire after ``delay``."""
+        """Arm (or reset) the one-shot timer ``key`` to fire after ``delay``.
+
+        Resetting to a deadline no earlier than the pending event's time
+        only records the deadline (see the module docstring); a periodic
+        ``key`` becomes a one-shot.
+        """
         if self._crashed:
             return
+        deadline = self.sim.now + delay
+        due = self._due.get(key)
+        if due is not None and due[0] <= deadline:
+            due[1] = deadline
+            return
         self.cancel_timer(key)
-        self._timers[key] = self.sim.call_after(delay, partial(self._fire, key))
+        self._due[key] = [deadline, deadline]
+        self._timers[key] = self.sim.call_at(deadline, partial(self._fire, key))
 
     def set_periodic(self, key: Hashable, period: float) -> None:
         """Arm the timer ``key`` to fire every ``period`` units until cancelled."""
@@ -288,6 +312,7 @@ class Process:
         handle = self._timers.pop(key, None)
         if handle is not None:
             handle.cancel()
+        self._due.pop(key, None)
         self._periods.pop(key, None)
 
     def has_timer(self, key: Hashable) -> bool:
@@ -297,6 +322,16 @@ class Process:
     def _fire(self, key: Hashable) -> None:
         if self._crashed:  # crash raced the event; stay silent
             return
+        due = self._due.get(key)
+        if due is not None:
+            if due[1] > self.sim.now:
+                # Lazily reset since armed: re-arm once at the recorded
+                # deadline, paused or not (nothing has expired yet).
+                due[0] = due[1]
+                self._timers[key] = self.sim.call_at(
+                    due[1], partial(self._fire, key))
+                return
+            del self._due[key]
         self._timers.pop(key, None)
         period = self._periods.get(key)
         if period is not None:

@@ -224,6 +224,44 @@ class TestE19LoadRows:
                    for row in diff["latency"])
 
 
+class TestEventsCoverTimedWork:
+    """``events``, ``sim_time_s`` and ``profile`` describe what ``wall_s`` timed.
+
+    A runner that compares two systems (batched vs control, adaptive vs
+    static) times both, so a record counting only one of them reports a
+    throughput for half the work.
+    """
+
+    def test_every_quick_case_counts_every_simulation_it_ran(
+            self, monkeypatch) -> None:
+        from repro.sim.engine import Simulation
+
+        built: list[Simulation] = []
+        original = Simulation.__init__
+
+        def recording(sim: Simulation, *args, **kwargs) -> None:
+            original(sim, *args, **kwargs)
+            built.append(sim)
+
+        monkeypatch.setattr(Simulation, "__init__", recording)
+        multi_system = set()
+        for case in bench.default_suite(seed=7, quick=True):
+            built.clear()
+            record = bench.run_case(case)
+            assert built, case.case_id
+            assert record["events"] == sum(
+                sim.events_executed for sim in built), case.case_id
+            assert record["sim_time_s"] == sum(
+                sim.now for sim in built), case.case_id
+            for counter, value in record["profile"].items():
+                assert value == sum(sim.profile()[counter]
+                                    for sim in built), (case.case_id, counter)
+            if len(built) > 1:
+                multi_system.add(case.case_id)
+        assert multi_system == {"e17/adaptive-vs-static/n=4",
+                                "e19/batching/n=5"}
+
+
 class TestCliFilterAndCompare:
     ARGV = ["bench", "--quick", "--jobs", "1",
             "--experiments", "e1", "--seed", "7"]

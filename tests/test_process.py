@@ -182,3 +182,112 @@ class TestTimers:
         p.cancel_timer(("watch", 1))
         sim.run_until(5.0)
         assert p.timer_fires == [(2.0, ("watch", 2))]
+
+
+class TestLazyTimerResets:
+    """Resetting a one-shot to a later deadline only records the deadline.
+
+    The armed event re-arms itself once at the recorded deadline when it
+    fires early; every observable outcome matches an eager cancel and
+    re-arm.
+    """
+
+    def test_repeated_later_resets_fire_once_at_last_deadline(
+            self, sim: Simulation, network: Network) -> None:
+        p = Recorder(0, sim, network)
+        p.start()
+        p.set_timer("x", 0.7)
+        for step in range(1, 20):
+            sim.run_until(step * 0.3)
+            p.set_timer("x", 0.7)
+        deadline = sim.now + 0.7
+        sim.run_until(20.0)
+        assert p.timer_fires == [(deadline, "x")]
+        # No reset cancelled anything: the kernel saw no tombstones.
+        assert sim.profile()["tombstone_pops"] == 0
+
+    def test_reset_to_earlier_deadline_fires_early(
+            self, sim: Simulation, network: Network) -> None:
+        p = Recorder(0, sim, network)
+        p.start()
+        p.set_timer("x", 5.0)
+        sim.run_until(1.0)
+        p.set_timer("x", 1.0)  # before the armed event at t=5
+        sim.run_until(10.0)
+        assert p.timer_fires == [(2.0, "x")]
+
+    def test_reset_below_a_deferred_deadline_fires_at_the_new_one(
+            self, sim: Simulation, network: Network) -> None:
+        p = Recorder(0, sim, network)
+        p.start()
+        p.set_timer("x", 1.0)
+        sim.run_until(0.5)
+        p.set_timer("x", 3.0)  # deferred to t=3.5
+        sim.run_until(0.75)
+        p.set_timer("x", 0.75)  # back to t=1.5, still after the armed t=1
+        sim.run_until(10.0)
+        assert p.timer_fires == [(1.5, "x")]
+
+    def test_cancel_after_lazy_reset_never_fires(
+            self, sim: Simulation, network: Network) -> None:
+        p = Recorder(0, sim, network)
+        p.start()
+        p.set_timer("x", 1.0)
+        p.set_timer("y", 1.0)
+        sim.run_until(0.5)
+        p.set_timer("x", 1.0)
+        p.set_timer("y", 1.0)
+        p.cancel_timer("x")  # before the early event at t=1
+        sim.run_until(1.2)
+        assert p.has_timer("y")  # early event re-armed for t=1.5
+        p.cancel_timer("y")
+        assert not p.has_timer("y")
+        sim.run_until(10.0)
+        assert p.timer_fires == []
+        p.set_timer("x", 1.0)  # a stale deferral would swallow this
+        sim.run_until(20.0)
+        assert p.timer_fires == [(11.0, "x")]
+
+    def test_crash_drops_deferred_deadline_and_recover_starts_clean(
+            self, sim: Simulation, network: Network) -> None:
+        p = Recorder(0, sim, network)
+        p.start()
+        p.set_timer("x", 1.0)
+        sim.run_until(0.5)
+        p.set_timer("x", 1.0)  # deferred to t=1.5
+        p.crash()
+        sim.run_until(1.2)
+        p.recover()
+        assert not p.has_timer("x")
+        p.set_timer("x", 0.1)  # a stale deferral would swallow this
+        deadline = sim.now + 0.1
+        sim.run_until(10.0)
+        assert p.timer_fires == [(deadline, "x")]
+
+    def test_early_event_under_pause_is_not_replayed_at_resume(
+            self, sim: Simulation, network: Network) -> None:
+        p = Recorder(0, sim, network)
+        p.start()
+        p.set_timer("x", 1.0)
+        sim.run_until(0.5)
+        p.set_timer("x", 2.0)  # deferred to t=2.5; early event at t=1
+        p.pause()
+        sim.run_until(1.5)
+        p.resume()
+        assert p.timer_fires == []
+        sim.run_until(2.0)
+        p.pause()  # this time the deadline itself passes under the pause
+        sim.run_until(3.0)
+        p.resume()
+        sim.run_until(10.0)
+        assert p.timer_fires == [(3.0, "x")]
+
+    def test_set_timer_on_periodic_key_makes_it_one_shot(
+            self, sim: Simulation, network: Network) -> None:
+        p = Recorder(0, sim, network)
+        p.start()
+        p.set_periodic("tick", 1.0)
+        sim.run_until(1.5)
+        p.set_timer("tick", 3.0)  # the pending tick at t=2 is earlier
+        sim.run_until(10.0)
+        assert p.timer_fires == [(1.0, "tick"), (4.5, "tick")]

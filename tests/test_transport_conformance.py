@@ -179,6 +179,31 @@ class TestLoopbackDelivery:
         run_conformance(backend_name, 2, body)
 
 
+class TestTimerResets:
+    def test_reset_many_times_fires_once_after_last_deadline(
+            self, backend_name) -> None:
+        delay = 0.5
+
+        def body(backend):
+            fires = []
+
+            class Watcher(Process):
+                def on_timer(self, key) -> None:
+                    fires.append(self.now)
+
+            watcher = Watcher(0, backend.clock, backend.transport)
+            watcher.start()
+            for _ in range(10):
+                last_set = backend.clock.now
+                watcher.set_timer("watch", delay)
+                yield 0.02
+            yield 2 * delay
+            assert len(fires) == 1
+            assert fires[0] >= last_set + delay
+
+        run_conformance(backend_name, 2, body)
+
+
 class TestElection:
     def test_three_processes_elect_one_stable_leader(self,
                                                      backend_name) -> None:
