@@ -400,12 +400,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _print_compare(report: dict, compare_path: str) -> bool:
-    """Diff ``report`` against an on-disk one; True iff results drifted.
+    """Diff ``report`` against an on-disk one; True iff anything drifted.
 
     Prints the events/s drift table, a commit-latency percentile drift
-    table when either report carries E19 ``latency_s`` blocks, and the
-    added/removed/changed case lists (shared by ``bench --compare`` and
-    ``load --compare``).
+    table when either report carries E19 ``latency_s`` blocks, the
+    added/removed case lists, and the changed cases with their changed
+    fields — verdict/result drift and schedule-only drift listed apart
+    (shared by ``bench --compare`` and ``load --compare``).  Either kind
+    of drift returns True.
     """
     import json
 
@@ -443,10 +445,18 @@ def _print_compare(report: dict, compare_path: str) -> bool:
     for label in ("added", "removed"):
         if diff[label]:
             print(f"{label} cases: {', '.join(diff[label])}")
+    for label, title in (
+            ("result_drift",
+             "deterministic results changed (verdict/result drift)"),
+            ("schedule_drift",
+             "event schedule changed (events/profile only; verdicts and "
+             "results identical)")):
+        if diff[label]:
+            print(f"\n{title}:")
+            for case_id in diff[label]:
+                print(f"  CHANGED {case_id}: "
+                      f"{', '.join(diff['fields'][case_id])}")
     if diff["changed"]:
-        print("\ndeterministic results changed (verdict/result drift):")
-        for case_id in diff["changed"]:
-            print(f"  CHANGED {case_id}")
         return True
     print("deterministic results identical for all common cases")
     return False

@@ -40,13 +40,25 @@ stronger ◇(n−1)-source synchrony (bench E7).
 
 from __future__ import annotations
 
-from repro.core.source_omega import SourceOmega
+from repro.core.source_omega import _HEARTBEAT, SourceOmega
 
 __all__ = ["CommEfficientOmega"]
 
 
 class CommEfficientOmega(SourceOmega):
-    """Omega where eventually only the leader sends messages."""
+    """Omega where eventually only the leader sends messages.
+
+    A process that does not trust itself has nothing to do on its
+    heartbeat ticks, so its first silent tick parks the chain
+    (:meth:`~repro.sim.process.Process.park_timer`) and trusting itself
+    again resumes it on the same η grid, in the same same-time order.
+    The simulator then runs no event at all for a silent process.
+    """
 
     def _sends_heartbeat(self) -> bool:
         return self.leader() == self.pid
+
+    def _output(self, leader: int) -> None:
+        super()._output(leader)
+        if leader == self.pid:
+            self.unpark_timer(_HEARTBEAT)

@@ -100,11 +100,6 @@ class PacketEfficientOmega(OmegaProtocol):
     # ------------------------------------------------------------------
 
     def _beat(self) -> None:
-        if self.leader() != self.pid:
-            # Not a candidate: stay silent (communication efficiency).
-            self._tenure = 0
-            self._skip = 0
-            return
         if self.adaptive is None:
             self.broadcast(Beat(self.pid))
             return
@@ -126,7 +121,14 @@ class PacketEfficientOmega(OmegaProtocol):
 
     def on_timer(self, key: Hashable) -> None:
         if key == _HEARTBEAT:
-            self._beat()
+            if self.leader() == self.pid:
+                self._beat()
+                return
+            # Not a candidate: stay silent (communication efficiency)
+            # and park the tick chain until we trust ourselves again.
+            self._tenure = 0
+            self._skip = 0
+            self.park_timer(_HEARTBEAT)
             return
         if key == _WATCH:
             self._leader_timed_out()
@@ -146,6 +148,11 @@ class PacketEfficientOmega(OmegaProtocol):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _output(self, leader: int) -> None:
+        super()._output(leader)
+        if leader == self.pid:  # a candidate again: beat on the old grid
+            self.unpark_timer(_HEARTBEAT)
 
     def _adopt(self, peer: int) -> None:
         self._output(peer)

@@ -99,8 +99,6 @@ class SourceOmega(OmegaProtocol):
         return True
 
     def _heartbeat(self) -> None:
-        if not self._sends_heartbeat():
-            return
         if self.adaptive is None:
             self.broadcast(Alive(self.pid, self.counter, self.phase))
             return
@@ -137,7 +135,12 @@ class SourceOmega(OmegaProtocol):
 
     def on_timer(self, key: Hashable) -> None:
         if key == _HEARTBEAT:
-            self._heartbeat()
+            if self._sends_heartbeat():
+                self._heartbeat()
+            else:
+                # Nothing to send until this process trusts itself again:
+                # park the tick chain (the subclass resumes it then).
+                self.park_timer(_HEARTBEAT)
             return
         if key == _WATCH:
             self._leader_timed_out()

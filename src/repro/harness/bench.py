@@ -820,20 +820,51 @@ def strip_nondeterministic(report: dict) -> dict:
     return core
 
 
+# Fields of a case record that describe how much work the kernel did,
+# not what the run computed: an event-schedule change moves only these.
+_SCHEDULE_FIELDS = ("events", "profile")
+
+
+def _changed_fields(old: dict, new: dict) -> list[str]:
+    """Names of the fields that differ between two case records.
+
+    A dict-valued field that differs is named per sub-key, one level
+    deep (``profile.heap_pushes``, ``result.latency_s``).
+    """
+    fields = []
+    for key in sorted(set(old) | set(new)):
+        old_value, new_value = old.get(key), new.get(key)
+        if old_value == new_value:
+            continue
+        if isinstance(old_value, dict) and isinstance(new_value, dict):
+            fields.extend(f"{key}.{sub}"
+                          for sub in sorted(set(old_value) | set(new_value))
+                          if old_value.get(sub) != new_value.get(sub))
+        else:
+            fields.append(key)
+    return fields
+
+
 def compare_reports(old: dict, new: dict) -> dict:
     """Diff two bench reports: determinism drift and throughput drift.
 
-    Compares the :func:`strip_nondeterministic` projections per case
-    (``changed`` lists cases whose deterministic record — verdict,
-    result, events, profile — differs) and, for cases present in both
-    reports, the nondeterministic ``timing.events_per_s`` figures
-    (``throughput`` rows; ``ratio`` is new/old).  Cases whose ``result``
+    Compares the :func:`strip_nondeterministic` projections per case.
+    ``changed`` lists every common case whose deterministic record
+    differs, ``fields`` names the differing fields per changed case (see
+    :func:`_changed_fields`), and the changed cases split into
+    ``result_drift`` (the verdict, result, ``ok``, ``sim_time_s`` or
+    parameters moved) and ``schedule_drift`` (only ``events``/``profile``
+    moved: the same results from a different event schedule).  For cases
+    present in both reports, the nondeterministic
+    ``timing.events_per_s`` figures (``throughput`` rows; ``ratio`` is
+    new/old).  Cases whose ``result``
     carries a ``latency_s`` percentile block (the E19 load rows) also
     get ``latency`` rows — old/new/ratio per percentile — so commit-tail
     drift is visible at a glance.  ``added``/``removed`` list case_ids
     present in only one report — suite-shape changes, not regressions.
-    ``ok`` is True iff no common case's deterministic record changed;
-    the CLI's ``bench --compare`` exits nonzero on it.
+    ``ok`` is True iff no common case's deterministic record changed,
+    whichever kind of drift it is; the CLI's ``bench --compare`` exits
+    nonzero on it.
     """
     old_cases = {case["case_id"]: case
                  for case in strip_nondeterministic(old)["cases"]}
@@ -841,6 +872,11 @@ def compare_reports(old: dict, new: dict) -> dict:
                  for case in strip_nondeterministic(new)["cases"]}
     changed = [case_id for case_id, case in new_cases.items()
                if case_id in old_cases and old_cases[case_id] != case]
+    fields = {case_id: _changed_fields(old_cases[case_id], new_cases[case_id])
+              for case_id in changed}
+    schedule_drift = [case_id for case_id in changed
+                      if all(field.split(".")[0] in _SCHEDULE_FIELDS
+                             for field in fields[case_id])]
     old_timing = {case["case_id"]: case.get("timing") or {}
                   for case in old["cases"]}
     new_timing = {case["case_id"]: case.get("timing") or {}
@@ -880,6 +916,10 @@ def compare_reports(old: dict, new: dict) -> dict:
     return {
         "ok": not changed,
         "changed": changed,
+        "fields": fields,
+        "result_drift": [case_id for case_id in changed
+                         if case_id not in schedule_drift],
+        "schedule_drift": schedule_drift,
         "added": sorted(set(new_cases) - set(old_cases)),
         "removed": sorted(set(old_cases) - set(new_cases)),
         "throughput": throughput,

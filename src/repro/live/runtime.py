@@ -31,6 +31,8 @@ from typing import Callable
 
 __all__ = ["Backoff", "Deadline", "LiveClock"]
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class Backoff:
@@ -145,10 +147,23 @@ class LiveClock:
 
         return self._loop.call_later(max(0.0, delay), fire)
 
-    def call_at(self, time: float,
-                action: Callable[[], None]) -> asyncio.TimerHandle:
-        """Run ``action`` at the absolute clock time ``time``."""
+    def call_at(self, time: float, action: Callable[[], None],
+                tie: tuple[float, int] | None = None) -> asyncio.TimerHandle:
+        """Run ``action`` at the absolute clock time ``time``.
+
+        ``tie`` is accepted and ignored: asyncio has no same-time order
+        to keep (see :meth:`repro.sim.engine.Simulation.call_at`).
+        """
         return self.call_after(time - self.now, action)
+
+    @property
+    def cursor(self) -> tuple[float, float, float]:
+        """``(now, inf, inf)``: on a live clock every tick due by now has run.
+
+        The live analogue of :attr:`repro.sim.engine.Simulation.cursor`;
+        a resumed timer chain skips every tick due at or before now.
+        """
+        return (self.now, _INF, _INF)
 
     def post_after(self, delay: float, action: Callable[[], None]) -> None:
         """Handle-free :meth:`call_after` (fire-and-forget deliveries)."""

@@ -6,11 +6,25 @@ periodic probes — is expressed as events scheduled on one simulation.
 
 Determinism
 -----------
-Runs are bit-for-bit reproducible: events execute in ``(time, seq)`` order
-(``seq`` is the insertion counter), and all randomness must come from the
+Runs are bit-for-bit reproducible: events execute in
+``(time, arm_time, seq)`` order, and all randomness must come from the
 simulation's :class:`~repro.sim.rng.RngFabric`.  Wall-clock time never
 enters the kernel; the same seed and the same schedule of calls produce
 the same interleaving on every machine and at every parallelism level.
+
+``arm_time`` is the simulated time at which an event was scheduled and
+``seq`` the insertion counter.  For an ordinary event this is exactly
+"same-time events run in the order they were scheduled", because
+``seq`` only grows as time advances.  The arm time is there for
+periodic timer chains: :meth:`Simulation.call_at` accepts an explicit
+``tie=(arm_time, seq)``, and :class:`~repro.sim.process.Process` keys
+each re-arm of a chain by the grid time it was armed at and the ``seq``
+of the chain's first arm.  A chain's order key is then a function of its
+period grid and its origin alone, not of the instant its re-arm code
+happened to run — so a chain that was parked and skipped ticks can be
+resumed with exactly the key the never-parked chain would have had.
+:attr:`Simulation.cursor` is the key of the event now running, which is
+what a resume compares a would-be tick against.
 
 Units
 -----
@@ -27,21 +41,22 @@ The scheduler keeps two structures instead of one binary heap:
   list covering one fixed-width span of simulated time, keyed by
   ``int(time * (1 / bucket_width))``.  Appending is O(1) amortized with
   no heap discipline; when the run loop reaches a bucket it sorts the
-  list once (C-level tuple sort over ``(time, seq, event)``) and then
-  drains it by walking an index — the per-event cost drops from
-  O(log n) heap pushes/pops to an append and an index increment.
+  list once (C-level tuple sort over ``(time, arm_time, seq, event)``)
+  and then drains it by walking an index — the per-event cost drops
+  from O(log n) heap pushes/pops to an append and an index increment.
 * **An overflow heap** for everything that cannot live in a bucket:
   cancellable events (``call_at``/``call_after`` return an
   :class:`EventHandle`; tombstones and compaction stay heap-only) and
   late posts whose time falls inside the span the run loop has already
   opened (``time < _drained_until``).  The heap is ordered by the same
-  ``(time, seq, event)`` tuples as before.
+  ``(time, arm_time, seq, event)`` tuples.
 
 The run loop merges the two tiers with a two-pointer walk: the next event
 is whichever of (current bucket entry, live heap top) has the smaller
-``(time, seq)``.  Because seq is unique, this reproduces exactly the total
-order a single heap would produce — the calendar queue is a throughput
-optimization, not a semantic change, and the differential property test
+``(time, arm_time, seq)``.  Because live keys are unique, this
+reproduces exactly the total order a single heap would produce — the
+calendar queue is a throughput optimization, not a semantic change, and
+the differential property test
 (``tests/test_scheduler_differential.py``) holds it to that against
 :class:`ReferenceSimulation`.
 
@@ -88,9 +103,25 @@ _INF = float("inf")
 # dict spanning 2**60 seconds of calendar would never be reached anyway.
 _FAR_HORIZON = 2.0 ** 60
 
+# A queue entry: (time, arm_time, seq, event), compared as a tuple.
+_Entry = tuple[float, float, int, ScheduledEvent]
+
 
 class SimulationError(RuntimeError):
     """Raised on kernel misuse (e.g. scheduling in the past)."""
+
+
+def _tied_entry(time: float, tie: tuple[float, int], now: float,
+                cursor: tuple, action: Callable[[], None]) -> _Entry:
+    """The queue entry of a ``call_at(..., tie=tie)``, validated."""
+    arm, seq = tie
+    if arm > now:
+        raise SimulationError(f"tie arm time {arm} is after now={now}")
+    if (time, arm, seq) < cursor:
+        raise SimulationError(
+            f"tie key {(time, arm, seq)} is behind the running event "
+            f"{tuple(cursor[:3])}")
+    return (time, arm, seq, ScheduledEvent(action))
 
 
 class Simulation:
@@ -130,23 +161,26 @@ class Simulation:
         self._compact_threshold = compact_threshold
         self._bucket_width = bucket_width
         self._inv_width = 1.0 / bucket_width  # exact: width is 2**-k
-        # Tier 1: calendar buckets of (time, seq, event) tuples, keyed by
-        # int(time * inv_width).  Only fire-and-forget events live here.
-        self._buckets: dict[int, list[tuple[float, int, ScheduledEvent]]] = {}
+        # Tier 1: calendar buckets of (time, arm_time, seq, event) tuples,
+        # keyed by int(time * inv_width).  Only fire-and-forget events
+        # live here.
+        self._buckets: dict[int, list[_Entry]] = {}
         # Min-heap of bucket keys, pushed once per bucket creation, so
         # finding the next window is O(log buckets) instead of O(buckets).
         self._bucket_order: list[int] = []
         # The open window: the sorted entries of the bucket currently
         # being drained, and the index of the next entry to run.
-        self._entries: list[tuple[float, int, ScheduledEvent]] = []
+        self._entries: list[_Entry] = []
         self._entry_idx = 0
         # End of the last opened window.  Fire-and-forget posts with
         # time < _drained_until must go to the heap: their bucket's
         # sorted snapshot has already been taken.
         self._drained_until = 0.0
-        # Tier 2: the overflow heap.  Entries are (time, seq, event);
-        # seq is unique so tuple comparison never reaches the event.
-        self._heap: list[tuple[float, int, ScheduledEvent]] = []
+        # Tier 2: the overflow heap, same entries.  Live keys are unique,
+        # so tuple comparison reaches the event only for a tombstone.
+        self._heap: list[_Entry] = []
+        # The key of the event now running (or last run); see cursor.
+        self._cursor: tuple = (0.0, 0.0, 0)
         self._tombstones = 0
         self._cancels = 0
         self._executed = 0
@@ -164,6 +198,20 @@ class Simulation:
     def now(self) -> float:
         """Current simulated time, in seconds since the run started."""
         return self._now
+
+    @property
+    def cursor(self) -> tuple:
+        """How far the run has got in ``(time, arm_time, seq)`` order.
+
+        Inside an event this is that event's key (a 4-tuple whose last
+        item is the event): every key below it has run, every key above
+        it has not.  Between runs it is the last event's key, or, once
+        :meth:`run_until` moved the clock past that, the key an event
+        armed now would get.  A resumed timer chain compares its
+        would-be ticks against it (:meth:`Process.unpark_timer
+        <repro.sim.process.Process.unpark_timer>`).
+        """
+        return self._cursor
 
     @property
     def rng(self) -> RngFabric:
@@ -204,25 +252,37 @@ class Simulation:
     # Scheduling
     # ------------------------------------------------------------------
 
-    def call_at(self, time: float, action: Callable[[], None]) -> EventHandle:
+    def call_at(self, time: float, action: Callable[[], None],
+                tie: tuple[float, int] | None = None) -> EventHandle:
         """Schedule ``action`` to run at absolute simulated ``time`` (seconds).
 
         Scheduling strictly in the past is a programming error; scheduling
         at exactly ``now`` is allowed and runs after currently queued
         events for ``now``.  Returns a handle whose ``cancel()`` is O(1).
 
+        ``tie`` replaces the event's ``(arm_time, seq)`` — by default
+        ``(now, next seq)`` — with a key taken from an earlier event
+        (its :attr:`EventHandle.tie`) and an arm time no later than now.
+        Timer chains use it to keep one order key across re-arms (see
+        the module docstring).  The resulting key must lie ahead of
+        :attr:`cursor`.
+
         Cancellable events always live on the overflow heap — tombstone
         accounting and compaction never have to look inside buckets.
         """
-        if time < self._now:
+        now = self._now
+        if time < now:
             raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}"
+                f"cannot schedule at t={time} before now={now}"
             )
         seq = self._seq
         self._seq = seq + 1
-        event = ScheduledEvent(time, seq, action)
-        heapq.heappush(self._heap, (time, seq, event))
-        return EventHandle(event, self)
+        if tie is None:
+            entry = (time, now, seq, ScheduledEvent(action))
+        else:
+            entry = _tied_entry(time, tie, now, self._cursor, action)
+        heapq.heappush(self._heap, entry)
+        return EventHandle(entry, self)
 
     def call_after(self, delay: float, action: Callable[[], None]) -> EventHandle:
         """Schedule ``action`` to run ``delay`` simulated seconds from now."""
@@ -246,7 +306,7 @@ class Simulation:
             )
         seq = self._seq
         self._seq = seq + 1
-        entry = (time, seq, ScheduledEvent(time, seq, action))
+        entry = (time, now, seq, ScheduledEvent(action))
         if time < self._drained_until or time >= _FAR_HORIZON:
             # The event's bucket span is already open (or being drained):
             # its sorted snapshot was taken, so late arrivals merge
@@ -291,7 +351,7 @@ class Simulation:
                     raise SimulationError(
                         f"cannot schedule at t={time} before now={now}"
                     )
-                entry = (time, seq, ScheduledEvent(time, seq, action))
+                entry = (time, now, seq, ScheduledEvent(action))
                 seq += 1
                 if time < drained_until or time >= _FAR_HORIZON:
                     heappush(heap, entry)
@@ -327,7 +387,7 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def _run(self, deadline: float, limit: int | None) -> int:
-        """Execute events with ``time <= deadline`` in ``(time, seq)`` order.
+        """Run events with ``time <= deadline`` in ``(time, arm_time, seq)`` order.
 
         Runs at most ``limit`` events when given.  Returns the number
         executed.  ``now`` tracks the last executed event and never
@@ -345,7 +405,7 @@ class Simulation:
             # Live heap top (discard tombstones as they surface).
             while heap:
                 head = heap[0]
-                if head[2].cancelled:
+                if head[3].cancelled:
                     heappop(heap)
                     self._tombstones -= 1
                     self._tombstone_pops += 1
@@ -367,8 +427,9 @@ class Simulation:
                         break
                     idx += 1
                     self._entry_idx = idx
-                event = entry[2]
+                event = entry[3]
                 self._now = entry[0]
+                self._cursor = entry
                 self._executed += 1
                 executed += 1
                 event.fired = True
@@ -386,8 +447,9 @@ class Simulation:
                 if head[0] > deadline:
                     break
                 heappop(heap)
-                event = head[2]
+                event = head[3]
                 self._now = head[0]
+                self._cursor = head
                 self._executed += 1
                 executed += 1
                 event.fired = True
@@ -431,6 +493,7 @@ class Simulation:
         self._run(deadline, None)
         if deadline > self._now:
             self._now = deadline
+            self._cursor = (deadline, deadline, self._seq)
 
     def run_for(self, duration: float) -> None:
         """Run for ``duration`` simulated seconds from now."""
@@ -474,7 +537,7 @@ class Simulation:
     def pending_times(self) -> Iterator[float]:
         """Times of queued live events, unsorted; for diagnostics."""
         for entry in self._heap:
-            if not entry[2].cancelled:
+            if not entry[3].cancelled:
                 yield entry[0]
         for bucket in self._buckets.values():
             for entry in bucket:
@@ -486,7 +549,7 @@ class Simulation:
         """Earliest pending event time, or None; pops tombstones it meets."""
         heap = self._heap
         while heap:
-            if heap[0][2].cancelled:
+            if heap[0][3].cancelled:
                 heapq.heappop(heap)
                 self._tombstones -= 1
                 self._tombstone_pops += 1
@@ -520,7 +583,7 @@ class Simulation:
                 and tombstones * 2 >= len(heap)):
             # In-place (the run loops hold a reference to this list, and
             # cancellation can happen from inside a running event).
-            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heap[:] = [entry for entry in heap if not entry[3].cancelled]
             heapq.heapify(heap)
             self._tombstones = 0
             self._compactions += 1
@@ -548,7 +611,8 @@ class ReferenceSimulation:
         self._now = 0.0
         self._seq = 0
         self._compact_threshold = compact_threshold
-        self._heap: list[tuple[float, int, ScheduledEvent]] = []
+        self._heap: list[_Entry] = []
+        self._cursor: tuple = (0.0, 0.0, 0)
         self._tombstones = 0
         self._cancels = 0
         self._executed = 0
@@ -559,6 +623,11 @@ class ReferenceSimulation:
     @property
     def now(self) -> float:
         return self._now
+
+    @property
+    def cursor(self) -> tuple:
+        """Same contract as :attr:`Simulation.cursor`."""
+        return self._cursor
 
     @property
     def rng(self) -> RngFabric:
@@ -579,16 +648,21 @@ class ReferenceSimulation:
             "pending": self.pending(),
         }
 
-    def call_at(self, time: float, action: Callable[[], None]) -> EventHandle:
+    def call_at(self, time: float, action: Callable[[], None],
+                tie: tuple[float, int] | None = None) -> EventHandle:
         """Heap-scheduled :meth:`Simulation.call_at`; returns a handle."""
-        if time < self._now:
+        now = self._now
+        if time < now:
             raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}")
+                f"cannot schedule at t={time} before now={now}")
         seq = self._seq
         self._seq = seq + 1
-        event = ScheduledEvent(time, seq, action)
-        heapq.heappush(self._heap, (time, seq, event))
-        return EventHandle(event, self)
+        if tie is None:
+            entry = (time, now, seq, ScheduledEvent(action))
+        else:
+            entry = _tied_entry(time, tie, now, self._cursor, action)
+        heapq.heappush(self._heap, entry)
+        return EventHandle(entry, self)
 
     def call_after(self, delay: float, action: Callable[[], None]) -> EventHandle:
         """Relative form of :meth:`call_at`."""
@@ -603,7 +677,8 @@ class ReferenceSimulation:
                 f"cannot schedule at t={time} before now={self._now}")
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._heap, (time, seq, ScheduledEvent(time, seq, action)))
+        heapq.heappush(self._heap,
+                       (time, self._now, seq, ScheduledEvent(action)))
 
     def post_after(self, delay: float, action: Callable[[], None]) -> None:
         """Relative form of :meth:`post_at`."""
@@ -633,12 +708,14 @@ class ReferenceSimulation:
         """Run the single next live event; False if none queued."""
         heap = self._heap
         while heap:
-            time, _seq, event = heapq.heappop(heap)
+            entry = heapq.heappop(heap)
+            event = entry[3]
             if event.cancelled:
                 self._tombstones -= 1
                 self._tombstone_pops += 1
                 continue
-            self._now = time
+            self._now = entry[0]
+            self._cursor = entry
             self._executed += 1
             event.fired = True
             event.action()
@@ -650,21 +727,24 @@ class ReferenceSimulation:
         heap = self._heap
         pop = heapq.heappop
         while heap:
-            time, _seq, event = heap[0]
+            entry = heap[0]
+            event = entry[3]
             if event.cancelled:
                 pop(heap)
                 self._tombstones -= 1
                 self._tombstone_pops += 1
                 continue
-            if time > deadline:
+            if entry[0] > deadline:
                 break
             pop(heap)
-            self._now = time
+            self._now = entry[0]
+            self._cursor = entry
             self._executed += 1
             event.fired = True
             event.action()
         if deadline > self._now:
             self._now = deadline
+            self._cursor = (deadline, deadline, self._seq)
 
     def run_for(self, duration: float) -> None:
         """Run for ``duration`` simulated seconds from now."""
@@ -675,7 +755,7 @@ class ReferenceSimulation:
         # Reference semantics for Simulation.run_batch: same window
         # selection, plain heap execution, clock left on the last event.
         heap = self._heap
-        while heap and heap[0][2].cancelled:
+        while heap and heap[0][3].cancelled:
             heapq.heappop(heap)
             self._tombstones -= 1
             self._tombstone_pops += 1
@@ -686,16 +766,18 @@ class ReferenceSimulation:
         cap = min(deadline, math.nextafter(window_end, 0.0))
         executed = 0
         while heap:
-            time, _seq, event = heap[0]
+            entry = heap[0]
+            event = entry[3]
             if event.cancelled:
                 heapq.heappop(heap)
                 self._tombstones -= 1
                 self._tombstone_pops += 1
                 continue
-            if time > cap:
+            if entry[0] > cap:
                 break
             heapq.heappop(heap)
-            self._now = time
+            self._now = entry[0]
+            self._cursor = entry
             self._executed += 1
             executed += 1
             event.fired = True
@@ -718,7 +800,7 @@ class ReferenceSimulation:
 
     def pending_times(self) -> Iterable[float]:
         """Times of queued live events, unsorted."""
-        return (entry[0] for entry in self._heap if not entry[2].cancelled)
+        return (entry[0] for entry in self._heap if not entry[3].cancelled)
 
     def _note_cancelled(self) -> None:
         self._cancels += 1
@@ -727,7 +809,7 @@ class ReferenceSimulation:
         heap = self._heap
         if (tombstones >= self._compact_threshold
                 and tombstones * 2 >= len(heap)):
-            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heap[:] = [entry for entry in heap if not entry[3].cancelled]
             heapq.heapify(heap)
             self._tombstones = 0
             self._compactions += 1

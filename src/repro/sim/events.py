@@ -1,10 +1,17 @@
 """Event representation for the discrete-event kernel.
 
-An :class:`ScheduledEvent` is an action bound to a simulated time.  Events
-are totally ordered by ``(time, seq)`` where ``seq`` is a monotonically
-increasing insertion counter; this makes every simulation run
-deterministic: two events scheduled for the same instant fire in the order
-they were scheduled.
+A :class:`ScheduledEvent` is an action bound to a simulated time.  The
+engine queues it inside a ``(time, arm_time, seq, event)`` entry, and
+events run in ``(time, arm_time, seq)`` order: ``arm_time`` is the
+simulated time at which the event was scheduled and ``seq`` the engine's
+insertion counter.  For an ordinary event that is exactly the order in
+which events for one instant were scheduled, because ``seq`` only grows
+as time advances.  A periodic timer chain keys each re-arm by the grid
+time it was armed at and the ``seq`` of the chain's first arm, so a
+chain's order key is a function of its period grid and origin alone —
+see :meth:`repro.sim.engine.Simulation.call_at` and
+:meth:`repro.sim.process.Process.park_timer`.  Either way every run is
+deterministic.
 
 Cancellation is *lazy*: cancelling tombstones the event in O(1) — the
 action reference is dropped immediately (so closures and the protocol
@@ -40,43 +47,48 @@ class ScheduledEvent:
     Not created directly — use :meth:`repro.sim.engine.Simulation.call_at`.
     """
 
-    __slots__ = ("time", "seq", "action", "cancelled", "fired")
+    __slots__ = ("action", "cancelled", "fired")
 
-    def __init__(self, time: float, seq: int,
-                 action: Callable[[], None] | None) -> None:
-        self.time = time
-        self.seq = seq
+    def __init__(self, action: Callable[[], None] | None) -> None:
         self.action = action
         self.cancelled = False
         self.fired = False
 
     def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        # Reached only when two queue entries share a whole order key: a
+        # parked timer's tombstone and the tick that resumed it.  They
+        # are interchangeable (the tombstone never runs).
+        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
-        return f"<ScheduledEvent t={self.time:.6f} seq={self.seq}{state}>"
+        return f"<ScheduledEvent{state}>"
 
 
 class EventHandle:
     """A caller-facing handle that can cancel a scheduled event."""
 
-    __slots__ = ("_event", "_sim")
+    __slots__ = ("_entry", "_sim")
 
-    def __init__(self, event: ScheduledEvent,
+    def __init__(self, entry: tuple[float, float, int, ScheduledEvent],
                  sim: "Simulation | None" = None) -> None:
-        self._event = event
+        self._entry = entry
         self._sim = sim
 
     @property
     def time(self) -> float:
         """The simulated time the event is scheduled for."""
-        return self._event.time
+        return self._entry[0]
+
+    @property
+    def tie(self) -> tuple[float, int]:
+        """The event's ``(arm_time, seq)``, its order among same-time events."""
+        return (self._entry[1], self._entry[2])
 
     @property
     def cancelled(self) -> bool:
         """Whether :meth:`cancel` has been called."""
-        return self._event.cancelled
+        return self._entry[3].cancelled
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent, O(1).
@@ -85,7 +97,7 @@ class EventHandle:
         skipped when popped), but its action — and everything the action
         closes over — is released immediately.
         """
-        event = self._event
+        event = self._entry[3]
         if event.cancelled:
             return
         event.cancelled = True

@@ -18,6 +18,7 @@ benchmarks (unlike :class:`~repro.sim.trace.TraceLog`).
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from typing import Iterator
 
 from repro.obs.observer import Observer
 
@@ -65,8 +66,11 @@ class MetricsCollector(Observer):
         self.sent_by_link: Counter[tuple[int, int]] = Counter()
         self.delivered_by_kind: Counter[str] = Counter()
         self.dropped_by_reason: Counter[str] = Counter()
-        self._window_senders: dict[int, set[int]] = defaultdict(set)
-        self._window_links: dict[int, set[tuple[int, int]]] = defaultdict(set)
+        # Per window: sender -> the destinations it sent to.  The keys
+        # are the window's senders.  Storing destination ints instead of
+        # a fresh (src, dst) tuple per link and window keeps a long run's
+        # windows small (a leader's n - 1 links, window after window).
+        self._window_links: dict[int, dict[int, set[int]]] = defaultdict(dict)
         self._window_messages: Counter[int] = Counter()
 
     # ------------------------------------------------------------------
@@ -79,8 +83,12 @@ class MetricsCollector(Observer):
         self.sent_by_kind[kind] += 1
         self.sent_by_link[(src, dst)] += 1
         index = int(time // self.window)
-        self._window_senders[index].add(src)
-        self._window_links[index].add((src, dst))
+        window = self._window_links[index]
+        out = window.get(src)
+        if out is None:
+            window[src] = {dst}
+        else:
+            out.add(dst)
         self._window_messages[index] += 1
 
     def on_send_batch(self, time: float, src: int,
@@ -95,13 +103,16 @@ class MetricsCollector(Observer):
         self.sent_by_sender[src] += count
         self.sent_by_kind[kind] += count
         index = int(time // self.window)
-        self._window_senders[index].add(src)
         self._window_messages[index] += count
+        window = self._window_links[index]
+        out = window.get(src)
+        if out is None:
+            window[src] = set(dsts)
+        else:
+            out.update(dsts)
         sent_by_link = self.sent_by_link
-        window_links = self._window_links[index]
         for dst in dsts:
             sent_by_link[(src, dst)] += 1
-            window_links.add((src, dst))
 
     def on_deliver(self, time: float, src: int, dst: int, kind: str,
                    sent_at: float = 0.0) -> None:
@@ -125,14 +136,14 @@ class MetricsCollector(Observer):
         """Processes that sent in any window overlapping ``[start, end]``."""
         out: set[int] = set()
         for index in self._window_range(start, end):
-            out |= self._window_senders.get(index, set())
+            out.update(self._window_links.get(index, ()))
         return out
 
     def links_between(self, start: float, end: float) -> set[tuple[int, int]]:
         """Ordered pairs that carried traffic in windows overlapping ``[start, end]``."""
         out: set[tuple[int, int]] = set()
         for index in self._window_range(start, end):
-            out |= self._window_links.get(index, set())
+            out.update(self._links_of(index))
         return out
 
     def messages_between(self, start: float, end: float) -> int:
@@ -147,11 +158,17 @@ class MetricsCollector(Observer):
         for index in range(last):
             out.append(WindowStats(
                 start=index * self.window,
-                senders=frozenset(self._window_senders.get(index, set())),
-                links=frozenset(self._window_links.get(index, set())),
+                senders=frozenset(self._window_links.get(index, ())),
+                links=frozenset(self._links_of(index)),
                 messages=self._window_messages.get(index, 0),
             ))
         return out
+
+    def _links_of(self, index: int) -> Iterator[tuple[int, int]]:
+        """The ``(src, dst)`` links that carried traffic in window ``index``."""
+        for src, dsts in self._window_links.get(index, {}).items():
+            for dst in dsts:
+                yield (src, dst)
 
     def _window_range(self, start: float, end: float) -> range:
         if end < start:

@@ -24,7 +24,8 @@ Protocols subclass :class:`Process` and override the hooks:
 ``on_timer(key)``
     Called when the timer named ``key`` expires.  Periodic timers
     re-arm themselves *before* dispatching, so a handler that wants to
-    stop the cycle calls :meth:`cancel_timer`.
+    stop the cycle calls :meth:`cancel_timer` (or :meth:`park_timer` to
+    pause it).
 
 ``on_crash()``
     Last hook before the process goes silent; useful for checkers.
@@ -55,12 +56,31 @@ an *earlier* deadline cancels and re-arms as usual.  Either way the
 timer fires exactly once, at the float ``now + delay`` of its last
 reset.
 
+A periodic timer is a *chain* of ticks on a float grid: each tick is
+due one period (added, never recomputed) after the previous one.  On a
+simulated clock every tick runs in ``(time, arm_time, seq)`` order with
+the key ``(due, previous due, seq of the chain's first arm)`` — a
+function of the grid and the chain's origin alone (see
+:mod:`repro.sim.engine`).  That is what makes **parking** exact: a
+handler that has nothing to do on its ticks for a while (a silent
+non-leader's heartbeat) calls :meth:`park_timer`, which cancels the
+pending tick but keeps its due time and arm time, and a later
+:meth:`unpark_timer` walks the grid forward to the first tick whose key
+still lies ahead of the running event and re-arms it with that key.
+The ticks that come after are the same events, in the same same-time
+order, as those of a chain that was never parked; only the skipped
+ticks — which would have found nothing to do — are gone.  A tick due
+exactly at the resuming instant runs only if its key lies after the
+running event's (:attr:`Simulation.cursor
+<repro.sim.engine.Simulation.cursor>`), just as the never-parked tick
+would have.
+
 A process does not touch the simulator directly: everything it needs
 from its substrate goes through the two duck-typed surfaces of
 :mod:`repro.transport` — ``sim`` only as a :class:`~repro.transport.Clock`
-(``now``, ``call_after``/``call_at``/``post_after``) and ``network``
-only as a :class:`~repro.transport.Transport` (``register``, ``send``/
-``broadcast``, the crash/recovery notes, ``hub``).  That seam is what
+(``now``, ``cursor``, ``call_after``/``call_at``/``post_after``) and
+``network`` only as a :class:`~repro.transport.Transport` (``register``,
+``send``/``broadcast``, the crash/recovery notes, ``hub``).  That seam is what
 lets the *same* process classes run on the deterministic
 :class:`~repro.sim.engine.Simulation`/:class:`~repro.sim.network.Network`
 pair or on the live asyncio backend
@@ -112,7 +132,11 @@ class Process:
         # pending event fires and the time the timer is due (later when
         # the timer was lazily reset since it was armed).
         self._due: dict[Hashable, list[float]] = {}
-        self._periods: dict[Hashable, float] = {}
+        # Periodic timers only: key -> [period, due, arm, origin, parked],
+        # the pending (or parked) tick's time and the grid time it was
+        # armed at, and the seq of the chain's first arm — together the
+        # tick's (time, arm_time, seq) order key.
+        self._chains: dict[Hashable, list] = {}
         self._held_messages: list[Message] = []
         self._missed_timers: list[Hashable] = []
         network.register(self)
@@ -188,7 +212,7 @@ class Process:
             handle.cancel()
         self._timers.clear()
         self._due.clear()
-        self._periods.clear()
+        self._chains.clear()
         self._held_messages.clear()
         self._missed_timers.clear()
         if self._storage is not None:
@@ -298,25 +322,68 @@ class Process:
         self._timers[key] = self.sim.call_at(deadline, partial(self._fire, key))
 
     def set_periodic(self, key: Hashable, period: float) -> None:
-        """Arm the timer ``key`` to fire every ``period`` units until cancelled."""
+        """Arm the timer ``key`` to fire every ``period`` units until cancelled.
+
+        Starts a fresh chain: a previous (or parked) chain on ``key`` is
+        cancelled, and the new chain's grid starts at ``now``.
+        """
         if period <= 0:
             raise ValueError("period must be positive")
         if self._crashed:
             return
-        self.cancel_timer(key)  # also clears any previous period for the key
-        self._periods[key] = period
-        self._timers[key] = self.sim.call_after(period, partial(self._fire, key))
+        self.cancel_timer(key)  # also clears any previous chain for the key
+        now = self.sim.now
+        handle = self.sim.call_at(now + period, partial(self._fire, key))
+        # Live timer handles carry no tie key; the live clock ignores ties.
+        tie = getattr(handle, "tie", None)
+        self._chains[key] = [period, now + period, now,
+                             tie[1] if tie is not None else 0, False]
+        self._timers[key] = handle
+
+    def park_timer(self, key: Hashable) -> None:
+        """Stop the periodic timer ``key`` from ticking until unparked.
+
+        The pending tick is cancelled, but its due time and arm time are
+        kept exactly, so :meth:`unpark_timer` resumes the chain on the
+        same grid with the same order key (module docstring).  A no-op
+        unless ``key`` is an armed periodic timer.
+        """
+        chain = self._chains.get(key)
+        if chain is None or chain[4]:
+            return
+        chain[4] = True
+        self._timers.pop(key).cancel()
+
+    def unpark_timer(self, key: Hashable) -> None:
+        """Resume the parked periodic timer ``key`` on its grid.
+
+        Re-arms the first tick whose ``(time, arm_time, seq)`` key lies
+        ahead of the clock's :attr:`cursor` — at the current instant
+        itself if the never-parked tick would still be queued behind the
+        running event.  A no-op unless ``key`` is parked.
+        """
+        chain = self._chains.get(key)
+        if chain is None or not chain[4]:
+            return
+        period, due, arm, origin, _ = chain
+        cursor = self.sim.cursor
+        while (due, arm, origin) < cursor:  # this tick would have run
+            arm = due
+            due += period
+        chain[1:] = [due, arm, origin, False]
+        self._timers[key] = self.sim.call_at(
+            due, partial(self._fire, key), (arm, origin))
 
     def cancel_timer(self, key: Hashable) -> None:
-        """Disarm timer ``key`` (and stop its periodic cycle).  Idempotent."""
+        """Disarm timer ``key`` (and end its periodic chain).  Idempotent."""
         handle = self._timers.pop(key, None)
         if handle is not None:
             handle.cancel()
         self._due.pop(key, None)
-        self._periods.pop(key, None)
+        self._chains.pop(key, None)
 
     def has_timer(self, key: Hashable) -> bool:
-        """Whether timer ``key`` is currently armed."""
+        """Whether timer ``key`` is currently armed (a parked one is not)."""
         return key in self._timers
 
     def _fire(self, key: Hashable) -> None:
@@ -333,10 +400,18 @@ class Process:
                 return
             del self._due[key]
         self._timers.pop(key, None)
-        period = self._periods.get(key)
-        if period is not None:
-            # Re-arm before dispatch so on_timer may cancel to stop the cycle.
-            self._timers[key] = self.sim.call_after(period, partial(self._fire, key))
+        chain = self._chains.get(key)
+        if chain is not None:
+            # Re-arm before dispatch so on_timer may cancel (or park) the
+            # chain.  The next tick is due one period after this one and
+            # keyed by this tick's time and the chain's origin.
+            arm, nxt = chain[1], chain[1] + chain[0]
+            now = self.sim.now
+            while nxt <= now:  # a live tick ran late: skip what it overslept
+                arm, nxt = nxt, nxt + chain[0]
+            chain[1], chain[2] = nxt, arm
+            self._timers[key] = self.sim.call_at(
+                nxt, partial(self._fire, key), (arm, chain[3]))
             if self._paused:  # frozen: the cycle survives, the tick is lost
                 return
         elif self._paused:  # one-shot expiring under a pause fires at resume

@@ -7,8 +7,10 @@ written against two narrow duck-typed surfaces, passed to
 
 :class:`Clock`
     Time and timers: ``now``, ``call_after``/``call_at`` returning a
-    cancellable :class:`TimerHandle`, and the handle-free ``post_after``
-    for fire-and-forget events.
+    cancellable :class:`TimerHandle` (``call_at`` takes an optional
+    same-time ``tie`` key), ``cursor`` (how far the clock has run, in
+    same-time order), and the handle-free ``post_after`` for
+    fire-and-forget events.
 
 :class:`Transport`
     Peers and messages: ``register``/``process``/``pids``,
@@ -103,8 +105,18 @@ class Clock(Protocol):
         """Schedule ``action`` to run ``delay`` seconds from now."""
         ...
 
-    def call_at(self, time: float, action: Callable[[], None]) -> TimerHandle:
-        """Schedule ``action`` at the absolute time ``time``."""
+    def call_at(self, time: float, action: Callable[[], None],
+                tie: tuple[float, int] | None = None) -> TimerHandle:
+        """Schedule ``action`` at the absolute time ``time``.
+
+        ``tie`` — ``(arm_time, seq)`` — pins the event's order among
+        same-time events on a simulated clock; a live clock ignores it.
+        """
+        ...
+
+    @property
+    def cursor(self) -> tuple:
+        """How far the clock has run, as a ``(time, arm_time, seq)`` key."""
         ...
 
     def post_after(self, delay: float, action: Callable[[], None]) -> None:

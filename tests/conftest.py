@@ -36,6 +36,38 @@ class Recorder(Process):
         self.timer_fires.append((self.now, key))
 
 
+class Beacon(Process):
+    """A periodic ``hb`` chain that has nothing to do while ``silent``.
+
+    ``parking`` picks how a silent tick is handled: parked (the chain
+    stops until :meth:`wake`) or eagerly ignored (the chain keeps
+    ticking).  The two must run the same working ticks at the same
+    times in the same same-time order — that is the parking contract.
+    Each working tick is handed to :meth:`tick`, which logs
+    ``(now, pid, key)`` into ``log``.
+    """
+
+    def __init__(self, pid, sim, network, log, parking) -> None:  # noqa: ANN001
+        super().__init__(pid, sim, network)
+        self.log = log
+        self.parking = parking
+        self.silent = False
+
+    def on_timer(self, key) -> None:  # noqa: ANN001
+        if key == "hb" and self.silent:
+            if self.parking:
+                self.park_timer("hb")
+            return  # a silent tick: nothing logged
+        self.tick(key)
+
+    def tick(self, key) -> None:  # noqa: ANN001
+        self.log.append((self.now, self.pid, key))
+
+    def wake(self) -> None:
+        self.silent = False
+        self.unpark_timer("hb")
+
+
 @pytest.fixture
 def sim() -> Simulation:
     """A fresh simulation with a fixed seed."""

@@ -167,6 +167,30 @@ class TestCompareReports:
         assert not diff["ok"]
         assert diff["changed"] == [new["cases"][0]["case_id"]]
 
+    def test_schedule_drift_is_told_apart_from_result_drift(
+            self, report: dict) -> None:
+        import copy
+        new = copy.deepcopy(report)
+        schedule, result = new["cases"][0], new["cases"][1]
+        schedule["events"] -= 5
+        schedule["profile"]["heap_pushes"] -= 5
+        result["events"] += 1
+        result["verdict"]["ok"] = not result["verdict"]["ok"]
+        diff = bench.compare_reports(report, new)
+        assert not diff["ok"]  # either kind of drift still fails
+        assert diff["changed"] == [schedule["case_id"], result["case_id"]]
+        assert diff["schedule_drift"] == [schedule["case_id"]]
+        assert diff["result_drift"] == [result["case_id"]]
+        assert diff["fields"] == {
+            schedule["case_id"]: ["events", "profile.heap_pushes"],
+            result["case_id"]: ["events", "verdict.ok"],
+        }
+        sim_time = copy.deepcopy(report)
+        sim_time["cases"][0]["sim_time_s"] += 1.0
+        diff = bench.compare_reports(report, sim_time)
+        assert diff["result_drift"] == [sim_time["cases"][0]["case_id"]]
+        assert diff["schedule_drift"] == []
+
     def test_suite_shape_changes_are_not_drift(self, report: dict) -> None:
         import copy
         new = copy.deepcopy(report)
@@ -298,6 +322,28 @@ class TestCliFilterAndCompare:
         code = main([*self.ARGV, "--no-out", "--compare", str(out)])
         assert code == 1
         assert "CHANGED" in capsys.readouterr().out
+
+    def test_compare_names_drift_kind_and_fields(self, tmp_path,
+                                                 capsys) -> None:
+        out = tmp_path / "old.json"
+        assert main([*self.ARGV, "--out", str(out)]) == 0
+        capsys.readouterr()
+        old = json.loads(out.read_text())
+        case_id = old["cases"][0]["case_id"]
+        old["cases"][0]["profile"]["heap_pushes"] += 1
+        out.write_text(json.dumps(old))
+        assert main([*self.ARGV, "--no-out", "--compare", str(out)]) == 1
+        text = capsys.readouterr().out
+        assert "event schedule changed" in text
+        assert "verdict/result drift" not in text
+        assert f"CHANGED {case_id}: profile.heap_pushes" in text
+        old["cases"][0]["result"] = {"tampered": True}
+        out.write_text(json.dumps(old))
+        assert main([*self.ARGV, "--no-out", "--compare", str(out)]) == 1
+        text = capsys.readouterr().out
+        assert "verdict/result drift" in text
+        assert "event schedule changed" not in text
+        assert "result." in text.split(f"CHANGED {case_id}: ")[1]
 
     def test_compare_unreadable_file_is_an_error(self, tmp_path) -> None:
         with pytest.raises(SystemExit, match="cannot read"):

@@ -85,3 +85,26 @@ class TestTimeline:
         window = m.timeline(until=1.0)[0]
         assert window.links == frozenset({(0, 1)})
         assert window.messages == 2
+
+
+class TestBatchedSends:
+    def test_batch_matches_one_send_per_destination(self) -> None:
+        batched, single = MetricsCollector(window=1.0), MetricsCollector(window=1.0)
+        batched.on_send(0.1, 2, 0, "A")
+        batched.on_send_batch(0.4, 2, (0, 1, 3), "A")
+        batched.on_send_batch(0.6, 1, (0, 2), "B")
+        feed(single, [(0.1, 2, 0, "A"), (0.4, 2, 0, "A"), (0.4, 2, 1, "A"),
+                      (0.4, 2, 3, "A"), (0.6, 1, 0, "B"), (0.6, 1, 2, "B")])
+        for m in (batched, single):
+            assert m.links_between(0.0, 1.0) == {(2, 0), (2, 1), (2, 3),
+                                                 (1, 0), (1, 2)}
+            assert m.senders_between(0.0, 1.0) == {1, 2}
+            assert m.sent_by_link[(2, 0)] == 2
+            assert m.messages_between(0.0, 1.0) == 6
+        assert batched.timeline(1.0)[0].links == single.timeline(1.0)[0].links
+
+    def test_empty_fan_out_still_counts_its_sender(self) -> None:
+        m = MetricsCollector(window=1.0)
+        m.on_send_batch(1.5, 3, (), "B")
+        assert m.senders_between(1.0, 2.0) == {3}
+        assert m.links_between(1.0, 2.0) == set()

@@ -95,3 +95,55 @@ class TestRegistry:
         proto = factory(0, sim, network)
         assert isinstance(proto, FSourceOmega)
         assert proto.n == 5 and proto.f == 2 and proto.quorum == 4
+
+
+class TestParkedHeartbeats:
+    """Silent candidates park their heartbeat chain; nothing else moves.
+
+    The eager twin overrides ``park_timer`` with a no-op, which is the
+    chain before parking existed: a silent process's ticks keep firing
+    and do nothing.  Both must produce the same trace, leader histories
+    and final state — parking only removes events.
+    """
+
+    PLAN = ("crash(t=30.0,pid=0) pause(t=42.0,pid=2,dur=6.0) "
+            "crash(t=60.0,pid=1) pause(t=75.0,pid=3,dur=9.0)")
+
+    @pytest.mark.parametrize("algorithm,plan", [
+        ("comm-efficient", PLAN),
+        ("crash-recovery", PLAN.replace("pid=0)", "pid=0,recover=50.0)")),
+        ("packet-efficient", PLAN),
+    ])
+    def test_parking_changes_nothing_but_the_event_count(
+            self, algorithm: str, plan: str) -> None:
+        from repro.sim.cluster import Cluster
+        from repro.sim.nemesis import FaultPlan
+        from repro.sim.topology import (
+            LinkTimings, all_eventually_timely_links, source_links)
+
+        base = algorithm_class(algorithm)
+        eager = type(f"Eager{base.__name__}", (base,),
+                     {"park_timer": lambda self, key: None})
+        config = OmegaConfig(eta=0.5, initial_timeout=2.0)
+        timings = LinkTimings(gst=10.0)
+
+        def run(cls):
+            links = (all_eventually_timely_links(6, timings)
+                     if algorithm == "packet-efficient"
+                     else source_links(6, 5, timings))
+            cluster = Cluster.build(
+                6, lambda pid, sim, net: cls(pid, sim, net, config),
+                links=links, seed=4, trace=True)
+            FaultPlan.from_repro(plan).schedule(cluster)
+            cluster.start_all()
+            cluster.run_until(150.0)
+            return cluster
+
+        parked, never = run(base), run(eager)
+        assert [repr(r) for r in parked.trace] == \
+            [repr(r) for r in never.trace]
+        for pid in range(6):
+            assert parked.process(pid).history == never.process(pid).history
+        # Leadership moved around, so chains parked and resumed.
+        assert sum(len(parked.process(pid).history) for pid in range(6)) > 12
+        assert parked.sim.events_executed < never.sim.events_executed

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from conftest import Probe, Recorder, make_pair
+from conftest import Beacon, Probe, Recorder, make_pair
 
 from repro.sim.engine import Simulation
 from repro.sim.network import Network
@@ -291,3 +291,253 @@ class TestLazyTimerResets:
         p.set_timer("tick", 3.0)  # the pending tick at t=2 is earlier
         sim.run_until(10.0)
         assert p.timer_fires == [(1.0, "tick"), (4.5, "tick")]
+
+
+def _grid(period: float, until: float = 3.0) -> list[float]:
+    """The float grid of a chain started at 0 up to ``until``: repeated
+    addition, as the chain itself computes it."""
+    times, t = [], period
+    while t <= until:
+        times.append(t)
+        t += period
+    return times
+
+
+class TestParkedTimers:
+    """Parked periodic chains resume on the eager chain's grid and order."""
+
+    PERIOD = 0.1  # not exact in binary: the grid accumulates rounding
+
+    def _twin(self, script, horizon: float = 3.0):
+        """Run ``script(sim, beacons)`` eagerly and parked; logs must match."""
+        logs = []
+        for parking in (False, True):
+            sim = Simulation(seed=1)
+            network = Network(sim)
+            log: list = []
+            # Start order fixes the origin order: 2, then 0, then 1.
+            beacons = {pid: Beacon(pid, sim, network, log, parking)
+                       for pid in (2, 0, 1)}
+            for beacon in beacons.values():
+                beacon.start()
+                beacon.set_periodic("hb", self.PERIOD)
+            script(sim, beacons)
+            sim.run_until(horizon)
+            logs.append(log)
+        eager, parked = logs
+        assert parked == eager
+        return parked
+
+    @staticmethod
+    def _silence(sim: Simulation, beacon: Beacon, at: float) -> None:
+        sim.call_at(at, lambda: setattr(beacon, "silent", True))
+
+    def test_resume_keeps_grid_and_same_time_order(self) -> None:
+        grid = _grid(self.PERIOD)
+
+        def script(sim, beacons):
+            self._silence(sim, beacons[0], 0.25)
+            sim.call_at(1.57, beacons[0].wake)
+
+        log = self._twin(script)
+        ticks = [t for t, pid, _ in log if pid == 0]
+        assert ticks == grid[:2] + [t for t in grid if t > 1.57]
+        # At every shared instant the chains run in origin order.
+        for t in grid[15:]:
+            assert [pid for time, pid, _ in log if time == t] == [2, 0, 1]
+
+    def test_resume_at_grid_instant_after_the_ghost_tick(self) -> None:
+        grid = _grid(self.PERIOD)
+
+        def script(sim, beacons):
+            self._silence(sim, beacons[0], 0.25)
+            # Armed after the ghost tick at grid[9] was (at grid[8]).
+            sim.call_at(0.95, lambda: sim.call_at(grid[9], beacons[0].wake))
+
+        log = self._twin(script)
+        ticks = [t for t, pid, _ in log if pid == 0]
+        assert ticks == grid[:2] + grid[10:]
+
+    def test_resume_at_grid_instant_before_the_ghost_tick(self) -> None:
+        grid = _grid(self.PERIOD)
+
+        def script(sim, beacons):
+            self._silence(sim, beacons[0], 0.25)
+            # Armed before the ghost tick was: the ghost still runs.
+            sim.call_at(0.75, lambda: sim.call_at(grid[9], beacons[0].wake))
+
+        log = self._twin(script)
+        ticks = [t for t, pid, _ in log if pid == 0]
+        assert ticks == grid[:2] + grid[9:]
+        at_resume = [pid for t, pid, _ in log if t == grid[9]]
+        assert at_resume == [2, 0, 1]
+
+    def test_resume_armed_at_the_ghost_arm_instant(self) -> None:
+        # The wake is armed at grid[8], the instant the ghost tick for
+        # grid[9] is armed: the chain's older origin seq orders the
+        # ghost first, so it has already run at the resume.
+        grid = _grid(self.PERIOD)
+
+        def script(sim, beacons):
+            self._silence(sim, beacons[0], 0.25)
+            sim.call_at(grid[8], lambda: sim.call_at(grid[9],
+                                                     beacons[0].wake))
+
+        log = self._twin(script)
+        ticks = [t for t, pid, _ in log if pid == 0]
+        assert ticks == grid[:2] + grid[10:]
+
+    def test_resume_from_a_same_instant_chain_tick(self) -> None:
+        # Woken by another chain's tick at a shared grid instant: the
+        # ghost runs iff its origin is younger than the waker's.
+        grid = _grid(self.PERIOD)
+
+        class Waker(Beacon):
+            target = None
+
+            def on_timer(self, key) -> None:  # noqa: ANN001
+                super().on_timer(key)
+                if self.now == grid[9]:
+                    self.target.wake()
+
+        for waker_pid, sleeper_pid, first in ((2, 0, 9), (1, 0, 10)):
+            logs = []
+            for parking in (False, True):
+                sim = Simulation(seed=1)
+                network = Network(sim)
+                log: list = []
+                beacons = {}
+                for pid in (2, 0, 1):
+                    cls = Waker if pid == waker_pid else Beacon
+                    beacons[pid] = cls(pid, sim, network, log, parking)
+                    beacons[pid].start()
+                    beacons[pid].set_periodic("hb", self.PERIOD)
+                beacons[waker_pid].target = beacons[sleeper_pid]
+                self._silence(sim, beacons[sleeper_pid], 0.25)
+                sim.run_until(3.0)
+                logs.append(log)
+            assert logs[0] == logs[1]
+            ticks = [t for t, pid, _ in logs[1] if pid == sleeper_pid]
+            assert ticks == grid[:2] + grid[first:]
+
+    def test_resume_before_the_parked_tick_rearms_it_unchanged(self) -> None:
+        grid = _grid(self.PERIOD)
+        # grid[2] - PERIOD != grid[1] in floats: the parked tick's arm
+        # time must be the stored grid point, not one recomputed from it.
+        assert grid[2] - self.PERIOD != grid[1]
+
+        def script(sim, beacons):
+            self._silence(sim, beacons[0], 0.15)
+            sim.call_at(0.25, beacons[0].wake)  # parked tick is grid[2]
+
+        log = self._twin(script)
+        assert [t for t, pid, _ in log if pid == 0] == grid[:1] + grid[2:]
+        assert [pid for t, pid, _ in log if t == grid[2]] == [2, 0, 1]
+
+    def test_resume_between_runs_skips_the_deadline_tick(self) -> None:
+        grid = _grid(self.PERIOD)
+        logs = []
+        for parking in (False, True):
+            sim = Simulation(seed=1)
+            log: list = []
+            beacon = Beacon(0, sim, Network(sim), log, parking)
+            beacon.start()
+            beacon.set_periodic("hb", self.PERIOD)
+            sim.run_until(0.25)
+            beacon.silent = True
+            sim.run_until(grid[9])  # the ghost at grid[9] ran silently
+            beacon.wake()
+            sim.run_until(3.0)
+            logs.append(log)
+        assert logs[0] == logs[1]
+        assert [t for t, _, _ in logs[1]] == grid[:2] + grid[10:]
+
+    def test_parked_chain_runs_no_events(self) -> None:
+        sim = Simulation(seed=1)
+        beacon = Beacon(0, sim, Network(sim), [], parking=True)
+        beacon.start()
+        beacon.set_periodic("hb", self.PERIOD)
+        beacon.silent = True
+        sim.run_until(0.15)
+        assert not beacon.has_timer("hb")
+        before = sim.events_executed
+        sim.run_until(100.0)
+        assert sim.events_executed == before
+        assert sim.pending() == 0
+
+    def test_crash_while_parked_clears_the_chain(self) -> None:
+        sim = Simulation(seed=1)
+        log: list = []
+        beacon = Beacon(0, sim, Network(sim), log, parking=True)
+        beacon.start()
+        beacon.set_periodic("hb", self.PERIOD)
+        beacon.silent = True
+        sim.run_until(0.25)
+        beacon.crash()
+        beacon.wake()  # nothing to resume: the crash took the chain
+        sim.run_until(1.0)
+        beacon.recover()
+        beacon.wake()
+        sim.run_until(2.0)
+        assert log == [] and not beacon.has_timer("hb")
+        beacon.set_periodic("hb", 0.25)  # a fresh chain from now
+        sim.run_until(2.6)
+        assert [t for t, _, _ in log] == [2.25, 2.5]
+
+    def test_pause_while_parked_then_watch_expiry_at_resume(self) -> None:
+        class Follower(Beacon):
+            # The watch expiring makes the beacon a candidate again.
+            def on_timer(self, key) -> None:  # noqa: ANN001
+                if key == "watch":
+                    self.tick(key)
+                    self.wake()
+                    return
+                super().on_timer(key)
+
+        grid = _grid(self.PERIOD)
+        logs = []
+        for parking in (False, True):
+            sim = Simulation(seed=1)
+            log: list = []
+            beacon = Follower(0, sim, Network(sim), log, parking)
+            beacon.start()
+            beacon.set_periodic("hb", self.PERIOD)
+            sim.call_at(0.25, lambda b=beacon: setattr(b, "silent", True))
+            sim.call_at(0.5, lambda b=beacon: b.set_timer("watch", 0.6))
+            sim.call_at(0.8, beacon.pause)
+            sim.call_at(1.73, beacon.resume)  # watch expired at 1.1
+            sim.run_until(3.0)
+            logs.append(log)
+        assert logs[0] == logs[1]
+        assert [t for t, _, key in logs[1] if key == "watch"] == [1.73]
+        hb = [t for t, _, key in logs[1] if key == "hb"]
+        assert hb == grid[:2] + [t for t in grid if 1.73 < t <= 3.0]
+
+    def test_cancel_timer_on_a_parked_key_ends_the_chain(self) -> None:
+        sim = Simulation(seed=1)
+        log: list = []
+        beacon = Beacon(0, sim, Network(sim), log, parking=True)
+        beacon.start()
+        beacon.set_periodic("hb", self.PERIOD)
+        beacon.silent = True
+        sim.run_until(0.25)
+        beacon.cancel_timer("hb")
+        beacon.wake()
+        sim.run_until(2.0)
+        assert log == [] and not beacon.has_timer("hb")
+        assert sim.pending() == 0
+
+    def test_set_periodic_on_a_parked_key_starts_a_fresh_chain(self) -> None:
+        sim = Simulation(seed=1)
+        log: list = []
+        beacon = Beacon(0, sim, Network(sim), log, parking=True)
+        beacon.start()
+        beacon.set_periodic("hb", self.PERIOD)
+        beacon.silent = True
+        sim.run_until(0.25)
+        assert not beacon.has_timer("hb")  # parked at t=0.1
+        beacon.silent = False
+        beacon.set_periodic("hb", 0.5)  # not unparked: replaced
+        beacon.unpark_timer("hb")       # the new chain is not parked
+        sim.run_until(1.9)
+        assert [t for t, _, _ in log] == [0.75, 1.25, 1.75]

@@ -8,7 +8,8 @@ semantic freedom.  These tests drive randomized workloads (timers,
 cancellations, fire-and-forget posts, batched posts, self-perpetuating
 churn) and full protocol runs (broadcast fan-out, crashes, recovery)
 through both schedulers and assert identical event orderings and trace
-digests.
+digests, including periodic chains that park and resume on their grid
+(where a parking run must also match the never-parked one).
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import hashlib
 import random
 
 import pytest
+from conftest import Beacon
 
 import repro.sim.cluster as cluster_mod
 from repro.harness.scenarios import OmegaScenario
-from repro.sim.engine import ReferenceSimulation, Simulation
+from repro.sim.engine import ReferenceSimulation, Simulation, SimulationError
+from repro.sim.network import Network
 
 
 class _Churn:
@@ -150,3 +153,113 @@ def test_protocol_runs_trace_identically(monkeypatch, algorithm: str,
     fast = run(Simulation)
     reference = run(ReferenceSimulation)
     assert fast == reference
+
+
+class _Beacon(Beacon):
+    """A :class:`Beacon` whose working ticks drive a :class:`_ChainChurn`."""
+
+    churn: "_ChainChurn"
+
+    def tick(self, key) -> None:  # noqa: ANN001
+        self.churn.fire(f"{key}/{self.pid}")
+
+
+class _ChainChurn:
+    """Randomized periodic chains that fall silent, park and resume.
+
+    Chains share a few periods, so their grids meet; every logged event
+    draws its next action from one :class:`random.Random`: silence or
+    wake a chain (wakes often land on another chain's tick, i.e. at a
+    shared grid instant), restart a chain from inside a tick where
+    other chains re-arm, arm one-shots and posts one period ahead (the
+    next grid instant, tied against the chain ticks armed now), and
+    pause/resume.  Silent ticks log nothing and draw nothing, so an
+    eager run (``parking=False``) must log exactly what a parking run
+    logs — and both schedulers must agree on either.
+    """
+
+    PERIODS = (0.25, 0.5, 0.1)
+    MAX_EVENTS = 600
+
+    def __init__(self, sim, seed: int, parking: bool = True) -> None:  # noqa: ANN001
+        self.sim = sim
+        self.rng = random.Random(seed)
+        self.log: list[tuple[float, str]] = []
+        network = Network(sim)
+        self.beacons = [_Beacon(pid, sim, network, self.log, parking)
+                        for pid in range(6)]
+        for beacon in self.beacons:
+            beacon.churn = self
+            beacon.start()
+            beacon.set_periodic("hb", self.PERIODS[beacon.pid % 3])
+
+    def fire(self, label: str) -> None:
+        self.log.append((self.sim.now, label))
+        if len(self.log) >= self.MAX_EVENTS:
+            return
+        rng = self.rng
+        beacon = rng.choice(self.beacons)
+        choice = rng.random()
+        period = self.PERIODS[rng.randrange(3)]
+        if choice < 0.20:
+            if beacon.pid:  # chain 0 never falls silent: it keeps the churn going
+                beacon.silent = True
+        elif choice < 0.50:
+            beacon.wake()
+        elif choice < 0.55:
+            beacon.set_periodic("hb", period)
+        elif choice < 0.65:
+            beacon.set_timer(("once", len(self.log)), period)
+        elif choice < 0.75:
+            self.sim.post_after(period,
+                                lambda n=len(self.log): self.fire(f"post/{n}"))
+        elif choice < 0.80:
+            self.sim.call_after(period, beacon.pause)
+            self.sim.call_after(period + rng.choice(self.PERIODS),
+                                beacon.resume)
+
+    def digest(self) -> str:
+        return hashlib.sha256(repr(self.log).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 42, 77])
+def test_parked_chains_order_identically(seed: int) -> None:
+    runs = {}
+    for cls, parking in ((Simulation, True), (ReferenceSimulation, True),
+                         (Simulation, False)):
+        churn = _ChainChurn(cls(seed=seed), seed, parking)
+        churn.sim.run_until(40.0)
+        runs[cls.__name__, parking] = churn
+    fast = runs["Simulation", True]
+    reference = runs["ReferenceSimulation", True]
+    eager = runs["Simulation", False]
+    assert len(fast.log) > 300
+    assert fast.log == reference.log
+    assert fast.sim.events_executed == reference.sim.events_executed
+    # Parking drops only the silent ticks: what runs is what the eager
+    # chains run, in the same order.
+    assert fast.log == eager.log
+    assert fast.sim.events_executed < eager.sim.events_executed
+
+
+def test_tie_key_behind_the_running_event_is_rejected() -> None:
+    for cls in (Simulation, ReferenceSimulation):
+        sim = cls(seed=0)
+        errors = []
+
+        def probe(sim=sim, errors=errors) -> None:
+            _, arm, seq, _ = sim.cursor
+            for time, tie in (
+                    (sim.now, (arm, seq)),          # the running key itself
+                    (sim.now, (arm - 0.5, seq)),    # would have run already
+                    (sim.now + 1.0, (sim.now + 0.5, 0))):  # arm in future
+                try:
+                    sim.call_at(time, lambda: None, tie)
+                except SimulationError as exc:
+                    errors.append(exc)
+            sim.call_at(sim.now, lambda: None, (arm, seq + 1))  # just ahead
+
+        sim.call_at(2.0, probe)
+        sim.run_until(3.0)
+        assert len(errors) == 3
+        assert sim.events_executed == 2

@@ -9,9 +9,10 @@ between actions, and runs against both backends — the sim driver turns
 each yield into ``run_until``, the live driver into ``asyncio.sleep``
 on a loopback cluster of real UDP sockets hosted in one loop.
 
-Covered, per the issue: loopback delivery (with observer dispatch), a
-3-process cluster electing one stable leader, and crash+restart keeping
-the incarnation semantics (stale frames dropped, successor incarnation
+Covered: loopback delivery (with observer dispatch), a 3-process
+cluster electing one stable leader, a leader that steps down and back
+up beating again on its heartbeat grid, and crash+restart keeping the
+incarnation semantics (stale frames dropped, successor incarnation
 heard).  Live timings are real wall time, so the live settles are short
 but generous; the protocol configs use a small η to stabilize well
 within them.
@@ -200,6 +201,46 @@ class TestTimerResets:
             yield 2 * delay
             assert len(fires) == 1
             assert fires[0] >= last_set + delay
+
+        run_conformance(backend_name, 2, body)
+
+
+class TestParkedHeartbeats:
+    def test_leader_stepping_down_and_up_beats_on_its_grid(
+            self, backend_name) -> None:
+        from repro.core.comm_efficient import CommEfficientOmega
+
+        eta = CONFIG.eta
+
+        def body(backend):
+            class Beating(CommEfficientOmega):
+                def on_start(self) -> None:
+                    self.beats = []
+                    super().on_start()
+
+                def _heartbeat(self) -> None:
+                    self.beats.append(self.now)
+                    super()._heartbeat()
+
+            node = Beating(0, backend.clock, backend.transport, CONFIG)
+            Recorder(1, backend.clock, backend.transport).start()
+            node.start()
+            origin = node.beats[0]  # on_start beats as the chain starts
+            yield 0.33
+            node._output(1)  # adopt pid 1: silent, the next tick parks
+            down = backend.clock.now
+            yield 0.31
+            node._output(0)  # a candidate again, off the old grid
+            up = backend.clock.now
+            yield 0.33
+            assert node.leader() == 0
+            assert not [t for t in node.beats if down + eta < t < up]
+            after = [t for t in node.beats if t > up]
+            assert len(after) >= 4
+            for t in after:  # on the chain's grid, not one started at `up`
+                phase = (t - origin) / eta
+                assert -0.02 < phase - round(phase) < 0.4, (t, origin)
+            assert after[0] - up < eta
 
         run_conformance(backend_name, 2, body)
 
